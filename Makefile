@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster ci
+.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster fuzz-marshal ci
 
 all: ci
 
@@ -109,11 +109,21 @@ raster:
 	$(GO) run ./cmd/ravebench -extra raster -frames 30 -check -out "$$dir"; \
 	status=$$?; rm -rf "$$dir"; exit $$status
 
+# fuzz-marshal runs each marshal decoder fuzz target for 10 s, seeded
+# from the frozen wire-format encodings in internal/marshal/testdata: no
+# input may panic a decoder, and every input that decodes must re-encode
+# to exactly its own bytes. (go test takes one -fuzz target per run.)
+fuzz-marshal:
+	@for f in FuzzDecodeScene FuzzDecodeFrame FuzzDecodeOp; do \
+		$(GO) test ./internal/marshal -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s || exit 1; \
+	done
+
 # ci is the full gate: formatting, static checks (ravelint with the
 # LINT.json artifact and per-analyzer timings, the allow-annotation
 # audit, vet, govulncheck when present), a clean build, the test suite
 # under the race detector, a doubled chaos pass (the chaos suite
 # exercises concurrent failure recovery, so -race is part of the bar,
 # not an extra), the reduced fleet-scale load, region-partition, and
-# sick-disk scenarios, and the rasterizer regression benchmark.
-ci: fmt-check lint-report allow-audit lint vulncheck build race chaos scale partition storage raster
+# sick-disk scenarios, the rasterizer regression benchmark, and the
+# marshal decoder fuzz pass.
+ci: fmt-check lint-report allow-audit lint vulncheck build race chaos scale partition storage raster fuzz-marshal

@@ -315,6 +315,56 @@ func BenchmarkMarshalSceneIntrospection(b *testing.B) {
 	b.SetBytes(size)
 }
 
+// benchFrame is the 400×400 Elle frame+depth a render service returns
+// for compositing under dataset distribution.
+func benchFrame(b *testing.B) *raster.Framebuffer {
+	b.Helper()
+	model := genmodel.Elle(genmodel.PaperElleTriangles)
+	fb := raster.NewFramebuffer(400, 400)
+	raster.New(fb).RenderMesh(model, mathx.Identity(),
+		raster.DefaultCamera().FitToBounds(model.Bounds(), mathx.V3(0.3, 0.2, 1)))
+	return fb
+}
+
+func BenchmarkMarshalFrameWrite(b *testing.B) {
+	fb := benchFrame(b)
+	b.SetBytes(int64(marshal.FrameSize(fb, true)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := marshal.AppendFrame(nil, fb, true); len(out) == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}
+
+func BenchmarkMarshalFrameRead(b *testing.B) {
+	data := marshal.AppendFrame(nil, benchFrame(b), true)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := marshal.DecodeFrame(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMarshalSceneRead(b *testing.B) {
+	data, err := marshal.AppendScene(nil, benchScene(b, 20000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := marshal.DecodeScene(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) {

@@ -198,3 +198,30 @@ func TestDetectTearingNonAdjacent(t *testing.T) {
 		t.Errorf("2x2 one-stale seams = %d, want 2", rep.TornSeams)
 	}
 }
+
+// TestDepthCompositeTieOrderIndependent: parts that tie exactly on depth
+// composite to the same image in either order — the lexicographically
+// smaller color wins, channel by channel — and an uncovered (+Inf) pixel
+// never displaces a covered one.
+func TestDepthCompositeTieOrderIndependent(t *testing.T) {
+	a, b := raster.NewFramebuffer(4, 1), raster.NewFramebuffer(4, 1)
+	a.Plot(0, 0, 0.5, 121, 121, 118)
+	b.Plot(0, 0, 0.5, 51, 51, 50) // red decides
+	a.Plot(1, 0, 0.25, 9, 7, 200)
+	b.Plot(1, 0, 0.25, 9, 8, 0) // green decides
+	a.Plot(2, 0, -0.75, 3, 3, 4)
+	b.Plot(2, 0, -0.75, 3, 3, 5) // blue decides
+	a.Plot(3, 0, 0.9, 255, 255, 255)
+	want := [][3]uint8{{51, 51, 50}, {9, 7, 200}, {3, 3, 4}, {255, 255, 255}}
+	for _, parts := range [][]*raster.Framebuffer{{a, b}, {b, a}} {
+		fb, err := CompositeAll(4, 1, parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x, w := range want {
+			if r, g, bl := fb.At(x, 0); [3]uint8{r, g, bl} != w {
+				t.Errorf("pixel %d = %v, want %v", x, [3]uint8{r, g, bl}, w)
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"image"
@@ -207,11 +206,11 @@ func (h *SocketHandle) RenderSubset(subset *scene.Scene, cam transport.CameraSta
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, subset); err != nil {
+	snap, err := marshal.AppendScene(nil, subset)
+	if err != nil {
 		return nil, err
 	}
-	if err := h.conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
+	if err := h.conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
 		return nil, err
 	}
 	t, payload, err := h.conn.Receive()
@@ -229,7 +228,7 @@ func (h *SocketHandle) RenderSubset(subset *scene.Scene, cam transport.CameraSta
 	if t != transport.MsgFrameDepth {
 		return nil, fmt.Errorf("core: expected frame+depth, got %s", t)
 	}
-	return marshal.ReadFrame(bytes.NewReader(payload))
+	return marshal.DecodeFrame(payload)
 }
 
 // RenderTile implements dataservice.TileRenderer over the tile
@@ -277,7 +276,7 @@ func (h *SocketHandle) RenderTile(rect image.Rectangle, fullW, fullH int, deadli
 	if t != transport.MsgFrameDepth {
 		return compositor.Tile{}, fmt.Errorf("core: expected tile frame+depth, got %s", t)
 	}
-	fb, err := marshal.ReadFrame(bytes.NewReader(payload))
+	fb, err := marshal.DecodeFrame(payload)
 	if err != nil {
 		return compositor.Tile{}, err
 	}

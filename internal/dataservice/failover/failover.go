@@ -12,7 +12,6 @@
 package failover
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -169,7 +168,7 @@ func (st *Standby) Run(ctx context.Context, rw io.ReadWriter) error {
 func (st *Standby) handle(conn *transport.Conn, t transport.MsgType, payload []byte) error {
 	switch t {
 	case transport.MsgSceneSnapshot:
-		sc, err := marshal.ReadScene(bytes.NewReader(payload))
+		sc, err := marshal.DecodeScene(payload)
 		if err != nil {
 			return err
 		}
@@ -245,7 +244,7 @@ func (st *Standby) applyOp(conn *transport.Conn, version uint64, body []byte) er
 	if version <= applied {
 		return nil // duplicate from a resync overlap
 	}
-	op, err := marshal.ReadOp(bytes.NewReader(body))
+	op, err := marshal.DecodeOp(body)
 	if err != nil {
 		return err
 	}

@@ -112,11 +112,7 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 // stayed in-region or crossed regions. The partition chaos scenario
 // asserts the cross series stays flat while a region is cut.
 func (sess *Session) countBootstrapBytes(sc *scene.Scene, toRegion string) {
-	var cw countWriter
-	if err := marshal.WriteScene(&cw, sc); err != nil {
-		return // accounting only; the real transfer reports its own error
-	}
-	sess.noteBootstrapBytes(cw.n, toRegion)
+	sess.noteBootstrapBytes(int64(marshal.SceneSize(sc)), toRegion)
 }
 
 // noteBootstrapBytes charges n bootstrap bytes shipped toward toRegion
@@ -128,14 +124,6 @@ func (sess *Session) noteBootstrapBytes(n int64, toRegion string) {
 	} else {
 		metrics.Counter(sess.svc.cfg.Name, "bootstrap_bytes_total", "local").Add(n)
 	}
-}
-
-// countWriter measures a marshal without retaining the bytes.
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // crossRegion reports whether two "region" / "region/zone" localities

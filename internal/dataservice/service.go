@@ -9,7 +9,6 @@
 package dataservice
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -585,22 +584,22 @@ type connSubscriber struct {
 
 // SendOp implements Subscriber.
 func (c *connSubscriber) SendOp(op scene.Op) error {
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
+	body, err := marshal.AppendOp(nil, op)
+	if err != nil {
 		return err
 	}
-	return c.conn.Send(transport.MsgSceneOp, buf.Bytes())
+	return c.conn.Send(transport.MsgSceneOp, body)
 }
 
 // SendOpVer implements VersionedSubscriber: the op travels as
 // MsgSceneOpVer with the authoritative version prefixed, so the replica
 // can detect missed updates on a lossy or recovering link.
 func (c *connSubscriber) SendOpVer(op scene.Op, version uint64) error {
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
+	body, err := marshal.AppendOp(nil, op)
+	if err != nil {
 		return err
 	}
-	return c.conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(version, buf.Bytes()))
+	return c.conn.Send(transport.MsgSceneOpVer, transport.PackVersioned(version, body))
 }
 
 // SendCamera implements Subscriber.
@@ -643,12 +642,12 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 	defer sess.Unsubscribe(hello.Name)
 
 	if snapshot != nil {
-		var buf bytes.Buffer
-		if err := marshal.WriteScene(&buf, snapshot); err != nil {
+		snap, err := marshal.AppendScene(nil, snapshot)
+		if err != nil {
 			return err
 		}
-		sess.noteBootstrapBytes(int64(buf.Len()), hello.Region)
-		if err := conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
+		sess.noteBootstrapBytes(int64(len(snap)), hello.Region)
+		if err := conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
 			return err
 		}
 	} else {
@@ -679,7 +678,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		case transport.MsgBye:
 			return nil
 		case transport.MsgSceneOp:
-			op, err := marshal.ReadOp(bytes.NewReader(payload))
+			op, err := marshal.DecodeOp(payload)
 			if err != nil {
 				return err
 			}
@@ -723,12 +722,12 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		case transport.MsgResyncRequest:
 			// The replica detected a gap: ship a fresh bootstrap snapshot.
 			sess.noteSnapshot()
-			var buf bytes.Buffer
-			if err := marshal.WriteScene(&buf, sess.Snapshot()); err != nil {
+			snap, err := marshal.AppendScene(nil, sess.Snapshot())
+			if err != nil {
 				return err
 			}
-			sess.noteBootstrapBytes(int64(buf.Len()), hello.Region)
-			if err := conn.Send(transport.MsgSceneSnapshot, buf.Bytes()); err != nil {
+			sess.noteBootstrapBytes(int64(len(snap)), hello.Region)
+			if err := conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
 				return err
 			}
 		case transport.MsgStandbyAck:

@@ -23,7 +23,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,12 +173,12 @@ func (l *Log) rewrite(base *scene.Scene, version uint64, at time.Time) error {
 		seg.Close()
 		return fmt.Errorf("wal: write header: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteScene(&buf, base); err != nil {
+	snap, err := marshal.AppendScene(nil, base)
+	if err != nil {
 		seg.Close()
 		return err
 	}
-	if err := writeRecord(seg, tagCheckpoint, version, at, buf.Bytes()); err != nil {
+	if err := writeRecord(seg, tagCheckpoint, version, at, snap); err != nil {
 		seg.Close()
 		return err
 	}
@@ -217,12 +216,12 @@ func (l *Log) Append(op scene.Op, version uint64, at time.Time, snapshot func() 
 		l.err = fmt.Errorf("wal: append version %d does not follow %d", version, l.version)
 		return l.err
 	}
-	var buf bytes.Buffer
-	if err := marshal.WriteOp(&buf, op); err != nil {
+	body, err := marshal.AppendOp(nil, op)
+	if err != nil {
 		l.err = err
 		return err
 	}
-	if err := writeRecord(l.seg, tagOp, version, at, buf.Bytes()); err != nil {
+	if err := writeRecord(l.seg, tagOp, version, at, body); err != nil {
 		l.err = err
 		return err
 	}
@@ -353,7 +352,7 @@ func Scan(r io.Reader) (*Recovered, error) {
 			if version != rec.Version+1 {
 				return nil, fmt.Errorf("%w: op version %d does not follow %d", ErrLogCorrupt, version, rec.Version)
 			}
-			op, err := marshal.ReadOp(bytes.NewReader(body))
+			op, err := marshal.DecodeOp(body)
 			if err != nil {
 				// The CRC matched, so the writer itself journaled garbage.
 				return nil, fmt.Errorf("%w: decode op %d: %w", ErrLogCorrupt, version, err)
@@ -401,7 +400,7 @@ func readCheckpoint(r io.Reader) (*Recovered, error) {
 	if tag != tagCheckpoint {
 		return nil, fmt.Errorf("%w: %w", ErrLogCorrupt, ErrNoCheckpoint)
 	}
-	base, err := marshal.ReadScene(bytes.NewReader(body))
+	base, err := marshal.DecodeScene(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decode checkpoint: %w", ErrLogCorrupt, err)
 	}

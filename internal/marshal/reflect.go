@@ -14,81 +14,86 @@ import (
 // element at a time — the cost profile of the paper's Java introspection
 // marshalling, which it identified as the bootstrap bottleneck ("it is
 // likely that this is slowing up the transfer of data to and from the
-// network", §5.5). BenchmarkMarshal* quantifies the gap against the
-// direct encoder.
+// network", §5.5). It appends through the same primitives as the direct
+// encoder, into the same exactly sized buffer, so the benchmarks
+// (BenchmarkMarshal*) isolate the per-element reflective walk.
 func ReflectWriteScene(out io.Writer, s *scene.Scene) error {
-	w := newWriter(out)
-	w.u32(sceneMagic)
-	w.u64(s.Version)
+	b := make([]byte, 0, SceneSize(s))
+	b = appendU32(b, sceneMagic)
+	b = appendU64(b, s.Version)
+	var err error
 	var writeNode func(n *scene.Node)
 	writeNode = func(n *scene.Node) {
 		// Interrogate the node through reflection, as the paper's
 		// implementation interrogated Java interfaces.
 		v := reflect.ValueOf(n).Elem()
-		w.u64(v.FieldByName("ID").Uint())
-		w.str(v.FieldByName("Name").String())
-		reflectMat4(w, v.FieldByName("Transform"))
-		reflectPayload(w, n.Payload)
+		b = appendU64(b, v.FieldByName("ID").Uint())
+		b = appendStr(b, v.FieldByName("Name").String())
+		b = reflectMat4(b, v.FieldByName("Transform"))
+		if b, err = reflectPayload(b, n.Payload); err != nil {
+			return
+		}
 		children := v.FieldByName("Children")
-		w.u32(uint32(children.Len()))
-		for i := 0; i < children.Len(); i++ {
+		b = appendU32(b, uint32(children.Len()))
+		for i := 0; i < children.Len() && err == nil; i++ {
 			writeNode(children.Index(i).Interface().(*scene.Node))
 		}
 	}
 	writeNode(s.Root)
-	return w.flush()
+	return write(out, b, err)
 }
 
-func reflectMat4(w *writer, v reflect.Value) {
+func reflectMat4(b []byte, v reflect.Value) []byte {
 	for i := 0; i < v.Len(); i++ {
-		w.f64(v.Index(i).Float())
+		b = appendF64(b, v.Index(i).Float())
 	}
+	return b
 }
 
-func reflectVec3(w *writer, v reflect.Value) {
-	w.f64(v.FieldByName("X").Float())
-	w.f64(v.FieldByName("Y").Float())
-	w.f64(v.FieldByName("Z").Float())
+func reflectVec3(b []byte, v reflect.Value) []byte {
+	b = appendF64(b, v.FieldByName("X").Float())
+	b = appendF64(b, v.FieldByName("Y").Float())
+	return appendF64(b, v.FieldByName("Z").Float())
 }
 
-func reflectVec3Slice(w *writer, v reflect.Value) {
-	w.u32(uint32(v.Len()))
+func reflectVec3Slice(b []byte, v reflect.Value) []byte {
+	b = appendU32(b, uint32(v.Len()))
 	for i := 0; i < v.Len(); i++ {
-		reflectVec3(w, v.Index(i))
+		b = reflectVec3(b, v.Index(i))
 	}
+	return b
 }
 
-func reflectPayload(w *writer, p scene.Payload) {
+func reflectPayload(b []byte, p scene.Payload) ([]byte, error) {
 	if p == nil {
-		w.u8(uint8(scene.KindGroup))
-		return
+		return append(b, uint8(scene.KindGroup)), nil
 	}
-	w.u8(uint8(p.Kind()))
+	b = append(b, uint8(p.Kind()))
 	// The type switch mirrors the paper's interface checks ("many items
 	// have a Position field, so this is an interface we check for"); the
 	// data extraction below is then element-by-element reflection.
 	switch p.Kind() {
 	case scene.KindMesh:
 		mesh := reflect.ValueOf(p).Elem().FieldByName("Mesh").Elem()
-		reflectVec3Slice(w, mesh.FieldByName("Positions"))
-		reflectVec3Slice(w, mesh.FieldByName("Normals"))
-		reflectVec3Slice(w, mesh.FieldByName("Colors"))
+		b = reflectVec3Slice(b, mesh.FieldByName("Positions"))
+		b = reflectVec3Slice(b, mesh.FieldByName("Normals"))
+		b = reflectVec3Slice(b, mesh.FieldByName("Colors"))
 		idx := mesh.FieldByName("Indices")
-		w.u32(uint32(idx.Len()))
+		b = appendU32(b, uint32(idx.Len()))
 		for i := 0; i < idx.Len(); i++ {
-			w.u32(uint32(idx.Index(i).Uint()))
+			b = appendU32(b, uint32(idx.Index(i).Uint()))
 		}
+		return b, nil
 	case scene.KindPoints:
 		cloud := reflect.ValueOf(p).Elem().FieldByName("Cloud").Elem()
-		reflectVec3Slice(w, cloud.FieldByName("Points"))
-		reflectVec3Slice(w, cloud.FieldByName("Colors"))
+		b = reflectVec3Slice(b, cloud.FieldByName("Points"))
+		return reflectVec3Slice(b, cloud.FieldByName("Colors")), nil
 	case scene.KindVoxels, scene.KindAvatar:
 		// Small payloads: no introspection win or loss either way; reuse
 		// the direct body encoder to keep the stream identical.
-		writePayloadBody(w, p)
-	default:
-		w.err = fmt.Errorf("marshal: unknown payload kind %d", p.Kind())
+		return appendPayloadBody(b, p)
 	}
+	return nil, fmt.Errorf("marshal: unknown payload kind %d", p.Kind())
 }
 
 // ReflectReadScene decodes the common scene stream, but stores every

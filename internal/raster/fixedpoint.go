@@ -431,18 +431,23 @@ func (r *Renderer) flushSpans(setups []triSetup, sc *bandScratch) {
 			z := w0*t.z0 + w1*t.z1 + w2*t.z2
 			if z >= -1 && z <= 1 {
 				zf := float32(z)
-				if zf < fb.Depth[di] {
+				// Only a nearer or tying fragment needs its color; the
+				// tie is settled by DepthWins on the color bytes.
+				if zf <= fb.Depth[di] {
 					// Perspective-correct color interpolation.
 					iw := w0*t.iw0 + w1*t.iw1 + w2*t.iw2
 					cr := (w0*t.c0.X*t.iw0 + w1*t.c1.X*t.iw1 + w2*t.c2.X*t.iw2) / iw
 					cg := (w0*t.c0.Y*t.iw0 + w1*t.c1.Y*t.iw1 + w2*t.c2.Y*t.iw2) / iw
 					cb := (w0*t.c0.Z*t.iw0 + w1*t.c1.Z*t.iw1 + w2*t.c2.Z*t.iw2) / iw
-					fb.Depth[di] = zf
-					ci := di * 3
-					fb.Color[ci] = toByte(cr)
-					fb.Color[ci+1] = toByte(cg)
-					fb.Color[ci+2] = toByte(cb)
-					sc.pixels++
+					r8, g8, b8 := toByte(cr), toByte(cg), toByte(cb)
+					if fb.DepthWins(di, zf, r8, g8, b8) {
+						fb.Depth[di] = zf
+						ci := di * 3
+						fb.Color[ci] = r8
+						fb.Color[ci+1] = g8
+						fb.Color[ci+2] = b8
+						sc.pixels++
+					}
 				}
 			}
 			e0 += t.dE0dx

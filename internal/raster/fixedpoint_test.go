@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/mathx"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
@@ -184,6 +185,65 @@ func TestEarlyZRejectsOccluded(t *testing.T) {
 		snap.CounterValue("render", "raster_earlyz_spans_total", "")
 	if rejected == 0 {
 		t.Error("early-z rejected nothing in a heavily occluded scene")
+	}
+}
+
+// TestEarlyZTieNeverSkipped draws a screen-filling quad, 600 occluded
+// triangles that arm early-z, and then the same quad again in another
+// color. The second quad ties the stored depth exactly at every pixel,
+// so early-z must let it through to the tie rule: the smaller color
+// wins whichever quad is drawn first, in both cores.
+func TestEarlyZTieNeverSkipped(t *testing.T) {
+	bright, dark := mathx.V3(0.9, 0.8, 0.7), mathx.V3(0.2, 0.4, 0.9)
+	build := func(first, second mathx.Vec3) *geom.Mesh {
+		m := &geom.Mesh{}
+		quad := func(c mathx.Vec3) {
+			q := sharedEdgeMesh()
+			q.Transform(mathx.Scale(mathx.V3(4, 4, 1)))
+			base := uint32(len(m.Positions))
+			for i, p := range q.Positions {
+				m.Positions = append(m.Positions, p)
+				m.Colors = append(m.Colors, c)
+				m.Indices = append(m.Indices, base+uint32(i))
+			}
+		}
+		quad(first)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 600; i++ {
+			base := uint32(len(m.Positions))
+			cx, cy := rng.Float64()*1.2-0.6, rng.Float64()*1.2-0.6
+			m.Positions = append(m.Positions,
+				mathx.V3(cx-0.1, cy-0.1, -3), mathx.V3(cx+0.1, cy-0.1, -3), mathx.V3(cx, cy+0.1, -3))
+			m.Colors = append(m.Colors, mathx.V3(1, 0, 0), mathx.V3(1, 0, 0), mathx.V3(1, 0, 0))
+			m.Indices = append(m.Indices, base, base+1, base+2)
+		}
+		quad(second)
+		return m
+	}
+	var images []*Framebuffer
+	for _, m := range []*geom.Mesh{build(bright, dark), build(dark, bright)} {
+		met := telemetry.NewRegistry(vclock.NewVirtual(time.Unix(0, 0)))
+		fixed, ref := renderBoth(64, 64, func(r *Renderer) {
+			r.Opts.Metrics = met
+			r.Opts.Service = "render"
+		}, func(r *Renderer) {
+			r.Opts.Ambient = 1
+			r.RenderMesh(m, mathx.Identity(), lookingCamera())
+		})
+		assertParity(t, "earlyz-tie", fixed, ref)
+		if met.Snapshot().CounterValue("render", "raster_earlyz_tris_total", "") == 0 {
+			t.Fatal("early-z never armed: the tie was not tested against it")
+		}
+		images = append(images, fixed)
+	}
+	for i := range images[0].Color {
+		if images[0].Color[i] != images[1].Color[i] {
+			t.Fatalf("color byte %d depends on draw order: %d vs %d", i, images[0].Color[i], images[1].Color[i])
+		}
+	}
+	want := [3]uint8{toByte(dark.X), toByte(dark.Y), toByte(dark.Z)}
+	if r, g, b := images[0].At(32, 32); [3]uint8{r, g, b} != want {
+		t.Errorf("tied pixel = %v, want the smaller color %v", [3]uint8{r, g, b}, want)
 	}
 }
 

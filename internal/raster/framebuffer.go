@@ -68,13 +68,38 @@ func (fb *Framebuffer) DepthAt(x, y int) float32 {
 	return fb.Depth[y*fb.W+x]
 }
 
-// Plot writes color and depth at (x, y) if z passes the depth test.
+// DepthWins is the depth test every depth write uses — both triangle
+// cores, Plot, and the compositor: it reports whether a fragment at
+// depth z with color (r, g, b) replaces what pixel index i holds. The
+// nearer fragment wins; on exactly equal depth the lexicographically
+// smaller (R, G, B) wins. The outcome does not depend on draw order, so
+// a whole-scene render and a depth composite of any split of the scene
+// agree byte for byte even where fragments tie on float32 depth. An
+// uncovered (+Inf) pixel is background, not a fragment: it never wins.
+func (fb *Framebuffer) DepthWins(i int, z float32, r, g, b uint8) bool {
+	if d := fb.Depth[i]; z != d {
+		return z < d
+	}
+	if math.IsInf(float64(z), 1) {
+		return false
+	}
+	c := fb.Color[3*i : 3*i+3]
+	if r != c[0] {
+		return r < c[0]
+	}
+	if g != c[1] {
+		return g < c[1]
+	}
+	return b < c[2]
+}
+
+// Plot writes color and depth at (x, y) if the fragment passes DepthWins.
 func (fb *Framebuffer) Plot(x, y int, z float32, r, g, b uint8) {
 	if x < 0 || x >= fb.W || y < 0 || y >= fb.H {
 		return
 	}
 	di := y*fb.W + x
-	if z >= fb.Depth[di] {
+	if !fb.DepthWins(di, z, r, g, b) {
 		return
 	}
 	fb.Depth[di] = z

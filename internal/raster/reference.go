@@ -62,7 +62,7 @@ func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch)
 				}
 				di := y*fb.W + x
 				zf := float32(z)
-				if zf >= fb.Depth[di] {
+				if zf > fb.Depth[di] {
 					continue
 				}
 				// Perspective-correct color interpolation.
@@ -70,11 +70,15 @@ func (r *Renderer) referenceBand(setups []triSetup, y0, y1 int, sc *bandScratch)
 				cr := (w0*t.c0.X*t.iw0 + w1*t.c1.X*t.iw1 + w2*t.c2.X*t.iw2) / iw
 				cg := (w0*t.c0.Y*t.iw0 + w1*t.c1.Y*t.iw1 + w2*t.c2.Y*t.iw2) / iw
 				cb := (w0*t.c0.Z*t.iw0 + w1*t.c1.Z*t.iw1 + w2*t.c2.Z*t.iw2) / iw
+				r8, g8, b8 := toByte(cr), toByte(cg), toByte(cb)
+				if !fb.DepthWins(di, zf, r8, g8, b8) {
+					continue
+				}
 				fb.Depth[di] = zf
 				ci := di * 3
-				fb.Color[ci] = toByte(cr)
-				fb.Color[ci+1] = toByte(cg)
-				fb.Color[ci+2] = toByte(cb)
+				fb.Color[ci] = r8
+				fb.Color[ci+1] = g8
+				fb.Color[ci+2] = b8
 				sc.pixels++
 			}
 		}
