@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos scale partition storage raster fuzz-marshal ci
+.PHONY: all vet fmt-check lint lint-report allow-audit vulncheck build test race chaos follow scale partition storage raster fuzz-marshal ci
 
 all: ci
 
@@ -65,6 +65,16 @@ race:
 chaos:
 	$(GO) test ./internal/chaos/ -race -count=2
 
+# follow runs the op-stream follower suites ten times under the race
+# detector: the follower core and its wire/mirror differential test, the
+# data service's delivery-order, mirror and replica-set tests, the
+# standby, and the render service's subscribe/resume paths. Delivery
+# order races between committers, so repetition is part of the bar.
+follow:
+	$(GO) test -race -count=10 ./internal/follow/ ./internal/dataservice/failover/
+	$(GO) test -race -count=10 ./internal/dataservice/ -run 'Mirror|ReplicaSet|Subscri|Resync|CommitOrder|Bootstrap'
+	$(GO) test -race -count=10 ./internal/renderservice/ -run 'Subscribe|Resume|Resilient|Heartbeat'
+
 # scale runs the reduced deterministic raveload scenario — 100 sessions
 # on 4 nodes with a mid-run node kill — and fails on any acceptance
 # violation (request conservation, client-visible errors, lost
@@ -123,7 +133,8 @@ fuzz-marshal:
 # audit, vet, govulncheck when present), a clean build, the test suite
 # under the race detector, a doubled chaos pass (the chaos suite
 # exercises concurrent failure recovery, so -race is part of the bar,
-# not an extra), the reduced fleet-scale load, region-partition, and
+# not an extra), the repeated op-stream follower pass, the reduced
+# fleet-scale load, region-partition, and
 # sick-disk scenarios, the rasterizer regression benchmark, and the
 # marshal decoder fuzz pass.
-ci: fmt-check lint-report allow-audit lint vulncheck build race chaos scale partition storage raster fuzz-marshal
+ci: fmt-check lint-report allow-audit lint vulncheck build race chaos follow scale partition storage raster fuzz-marshal

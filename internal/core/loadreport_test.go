@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -10,13 +13,13 @@ import (
 	"repro/internal/device"
 	"repro/internal/geom/genmodel"
 	"repro/internal/renderservice"
-	"repro/internal/transport"
 )
 
 // TestLoadReportingDrivesMigrationEngine closes the §3.2.7 loop over
-// real sockets: a render service renders (so it has a frame rate),
-// streams periodic load reports to the data service over the wire
-// protocol, and the session's migration engine records them.
+// a socket: a render service renders (so it has a frame rate), streams
+// periodic load reports to the data service over its subscription
+// (SubscribeOpts.ReportInterval), and the session's migration engine
+// records them.
 func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
 	ds := dataservice.New(dataservice.Config{Name: "data"})
 	sess, err := ds.CreateSessionFromMesh("s", "m", genmodel.Galleon(1200))
@@ -29,42 +32,32 @@ func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
 	rs := renderservice.New(renderservice.Config{
 		Name: "laptop", Device: device.CentrinoLaptop, Workers: 2,
 	})
-	// Subscribe over one socket (keeps the replica fresh).
-	subDS, subRS := net.Pipe()
-	defer subDS.Close()
-	defer subRS.Close()
-	go ds.ServeConn(subDS)
+	// One subscription socket keeps the replica fresh and, through
+	// ReportInterval, carries the periodic load reports.
+	dsEnd, rsEnd := net.Pipe()
+	defer dsEnd.Close()
+	go ds.ServeConn(dsEnd)
+	dialed := false
+	dial := func() (io.ReadWriteCloser, error) {
+		if dialed {
+			return nil, errors.New("one connection only")
+		}
+		dialed = true
+		return rsEnd, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ready := make(chan *renderservice.Session, 1)
-	go rs.SubscribeToData(subRS, "s", func(s *renderservice.Session) { ready <- s })
+	subDone := make(chan error, 1)
+	go func() {
+		subDone <- rs.SubscribeToDataResilient(ctx, dial, "s",
+			renderservice.SubscribeOpts{ReportInterval: 3 * time.Millisecond},
+			func(s *renderservice.Session) { ready <- s })
+	}()
 	replica := <-ready
 	if _, err := replica.RenderFrame(64, 64, ""); err != nil {
 		t.Fatal(err)
 	}
-
-	// Load reports flow over their own subscription socket.
-	repDS, repRS := net.Pipe()
-	defer repDS.Close()
-	defer repRS.Close()
-	go ds.ServeConn(repDS)
-	repConn := transport.NewConn(repRS)
-	if err := repConn.SendJSON(transport.MsgHello, transport.Hello{
-		Role: "render-service", Name: "laptop-report", Session: "s",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	go func() { // drain bootstrap + fan-out traffic
-		for {
-			if _, _, err := repConn.Receive(); err != nil {
-				return
-			}
-		}
-	}()
-
-	stop := make(chan struct{})
-	reporterDone := make(chan error, 1)
-	go func() {
-		reporterDone <- rs.StartLoadReporting(repConn, 3*time.Millisecond, stop)
-	}()
 
 	// Wait for the engine to record the laptop's report.
 	deadline := time.Now().Add(5 * time.Second)
@@ -80,16 +73,13 @@ func TestLoadReportingDrivesMigrationEngine(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	close(stop)
-	if err := <-reporterDone; err != nil {
-		t.Fatalf("reporter: %v", err)
-	}
+	// Cancel, then close the socket under the blocked read loop: the
+	// subscription and its heartbeat end with it.
+	cancel()
+	rsEnd.Close()
+	<-subDone
 	// A healthy service triggers no migration.
 	if moves := dist.PlanMigration(); len(moves) != 0 {
 		t.Errorf("healthy service migrated: %v", moves)
-	}
-	// Input validation.
-	if err := rs.StartLoadReporting(repConn, 0, stop); err == nil {
-		t.Error("zero interval accepted")
 	}
 }

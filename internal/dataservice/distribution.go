@@ -206,61 +206,16 @@ func (d *Distributor) Assignment() balance.Assignment {
 // depth-composited (§3.2.5). The composition is order-independent since
 // payloads are opaque.
 func (d *Distributor) RenderDistributed(w, h int) (*raster.Framebuffer, error) {
-	d.mu.Lock()
-	asg := d.assignment
-	handles := make(map[string]RenderHandle, len(d.handles))
-	for k, v := range d.handles {
-		handles[k] = v
+	fb, failures, err := d.renderOnce(w, h)
+	if err != nil || len(failures) == 0 {
+		return fb, err
 	}
-	d.mu.Unlock()
-	if len(asg) == 0 {
-		return nil, fmt.Errorf("dataservice: no distribution planned")
-	}
-	cam := d.sess.Camera()
-	deadline := d.frameDeadline()
-
-	type result struct {
-		fb  *raster.Framebuffer
-		err error
-	}
-	names := make([]string, 0, len(asg))
-	for name := range asg {
+	names := make([]string, 0, len(failures))
+	for name := range failures {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	results := make([]result, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		handle, ok := handles[name]
-		if !ok {
-			return nil, fmt.Errorf("dataservice: assigned service %s not attached", name)
-		}
-		var subset *scene.Scene
-		var err error
-		d.sess.Scene(func(sc *scene.Scene) {
-			subset, err = sc.ExtractSubset(asg[name])
-		})
-		if err != nil {
-			return nil, err
-		}
-		wg.Add(1)
-		go func(i int, handle RenderHandle, subset *scene.Scene) {
-			defer wg.Done()
-			fb, err := handle.RenderSubset(subset, cam, w, h, deadline)
-			results[i] = result{fb, err}
-		}(i, handle, subset)
-	}
-	wg.Wait()
-
-	parts := make([]*raster.Framebuffer, 0, len(results))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("dataservice: subset render on %s: %w", names[i], r.err)
-		}
-		parts = append(parts, r.fb)
-	}
-	return compositor.CompositeAll(w, h, parts...)
+	return nil, fmt.Errorf("dataservice: subset render on %s: %w", names[0], failures[names[0]])
 }
 
 // PlanTiles computes the framebuffer-distribution tiling for a w x h

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"repro/internal/dataservice"
-	"repro/internal/marshal"
+	"repro/internal/follow"
 	"repro/internal/scene"
 	"repro/internal/transport"
 	"repro/internal/uddi"
@@ -69,7 +69,6 @@ type Standby struct {
 
 	mu       sync.Mutex
 	sess     *dataservice.Session
-	applied  uint64
 	promoted bool
 }
 
@@ -81,11 +80,13 @@ func (st *Standby) Session() *dataservice.Session {
 	return st.sess
 }
 
-// Applied returns the highest op version the standby has applied.
+// Applied returns the version the standby's replica holds (0 before
+// the first bootstrap).
 func (st *Standby) Applied() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.applied
+	if sess := st.Session(); sess != nil {
+		return sess.Version()
+	}
+	return 0
 }
 
 // Promoted reports whether the standby has been promoted.
@@ -114,42 +115,50 @@ func (st *Standby) Promote() (*dataservice.Session, error) {
 
 // Run follows the primary at rw: hello (resuming at the last applied
 // version when a replica exists), bootstrap, then the versioned op
-// stream, acknowledging each applied version with MsgStandbyAck. It
-// returns ErrPromoted after a promotion, ErrReplicationLost when the
-// stream dies, and ctx.Err() when cancelled. Safe to call again with a
-// fresh stream after a reconnect — the replica is retained and resumed.
+// stream through the follower core (internal/follow), acknowledging each
+// applied version with MsgStandbyAck. It returns ErrPromoted after a
+// promotion, ErrReplicationLost when the stream dies, and ctx.Err() when
+// cancelled. Safe to call again with a fresh stream after a reconnect —
+// the replica is retained and resumed.
 func (st *Standby) Run(ctx context.Context, rw io.ReadWriter) error {
 	conn := transport.NewConn(rw)
-	st.mu.Lock()
-	since := st.applied
-	if st.sess == nil {
-		since = 0
-	}
-	st.mu.Unlock()
 	err := conn.SendJSON(transport.MsgHello, transport.Hello{
 		Role: "standby", Name: st.Name, Session: st.SessionName,
-		SinceVersion: since, Region: st.Region,
+		SinceVersion: st.Applied(), Region: st.Region,
 	})
 	if err != nil {
 		return err
 	}
-	clock := st.Clock
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if st.Promoted() {
-			return ErrPromoted
-		}
-		if st.IdleTimeout > 0 {
-			// Ignore ErrNoDeadline: plain pipes cannot time out.
-			conn.SetReadDeadline(clock.Now().Add(st.IdleTimeout))
-		}
-		t, payload, err := conn.Receive()
-		if err != nil {
+	w := follow.Wire{
+		Conn: conn, Replica: (*replica)(st), Bootstrapped: st.Session() != nil,
+		IdleTimeout: st.IdleTimeout, Clock: st.Clock,
+		Handle: func(t transport.MsgType, payload []byte) (bool, error) {
+			if st.Promoted() {
+				return true, ErrPromoted
+			}
+			switch t {
+			case transport.MsgCameraUpdate:
+				var cam transport.CameraState
+				if err := transport.DecodeJSON(payload, &cam); err != nil {
+					return true, err
+				}
+				if sess := st.Session(); sess != nil {
+					return true, sess.SetCamera(cam, "")
+				}
+				return true, nil
+			case transport.MsgError:
+				var ei transport.ErrorInfo
+				if err := transport.DecodeJSON(payload, &ei); err != nil {
+					return true, err
+				}
+				return true, fmt.Errorf("failover: primary refused standby %q: %s", st.Name, ei.Message)
+			}
+			return false, nil
+		},
+		Applied: func(version uint64) error {
+			return conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: version})
+		},
+		Lost: func(err error) error {
 			if st.Promoted() {
 				return ErrPromoted
 			}
@@ -157,102 +166,35 @@ func (st *Standby) Run(ctx context.Context, rw io.ReadWriter) error {
 				return fmt.Errorf("%w: stream closed", ErrReplicationLost)
 			}
 			return fmt.Errorf("%w: %v", ErrReplicationLost, err)
-		}
-		if err := st.handle(conn, t, payload); err != nil {
-			return err
-		}
+		},
 	}
+	if err := w.Run(ctx); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: primary said bye", ErrReplicationLost)
 }
 
-// handle applies one replication message.
-func (st *Standby) handle(conn *transport.Conn, t transport.MsgType, payload []byte) error {
-	switch t {
-	case transport.MsgSceneSnapshot:
-		sc, err := marshal.DecodeScene(payload)
-		if err != nil {
-			return err
-		}
-		sess, err := st.installSnapshot(sc)
-		if err != nil {
-			return err
-		}
-		_ = sess
-		return conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: sc.Version})
-	case transport.MsgResumeOK:
-		// Our replica is current through st.applied; the gap (if any)
-		// follows as MsgSceneOpVer.
-		return nil
-	case transport.MsgSceneOpVer:
-		version, body, err := transport.UnpackVersioned(payload)
-		if err != nil {
-			return err
-		}
-		return st.applyOp(conn, version, body)
-	case transport.MsgCameraUpdate:
-		var cam transport.CameraState
-		if err := transport.DecodeJSON(payload, &cam); err != nil {
-			return err
-		}
-		if sess := st.Session(); sess != nil {
-			return sess.SetCamera(cam, "")
-		}
-		return nil
-	case transport.MsgError:
-		var ei transport.ErrorInfo
-		if err := transport.DecodeJSON(payload, &ei); err != nil {
-			return err
-		}
-		return fmt.Errorf("failover: primary refused standby %q: %s", st.Name, ei.Message)
-	default:
-		// Ignore messages replication does not handle.
-		return nil
-	}
-}
+// replica is the standby as a follower-core target: its session,
+// created read-only by the first snapshot.
+type replica Standby
 
-// installSnapshot makes sc the replica's authoritative state.
-func (st *Standby) installSnapshot(sc *scene.Scene) (*dataservice.Session, error) {
+func (r *replica) Version() uint64 { return (*Standby)(r).Applied() }
+
+func (r *replica) Install(sc *scene.Scene) error {
+	st := (*Standby)(r)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.sess == nil {
 		sess, err := st.Service.CreateSession(st.SessionName)
 		if err != nil {
-			return nil, fmt.Errorf("failover: standby session: %w", err)
+			return fmt.Errorf("failover: standby session: %w", err)
 		}
 		st.sess = sess
 	}
-	if !st.promoted {
-		st.sess.SetReadOnly(true)
-	}
-	st.sess.InstallScene(sc)
-	st.applied = sc.Version
-	return st.sess, nil
+	st.sess.SetReadOnly(true)
+	return dataservice.Replica{Session: st.sess}.Install(sc)
 }
 
-// applyOp applies one versioned op from the primary, acking on success
-// and requesting a resync on a detected gap.
-func (st *Standby) applyOp(conn *transport.Conn, version uint64, body []byte) error {
-	st.mu.Lock()
-	sess, applied, promoted := st.sess, st.applied, st.promoted
-	st.mu.Unlock()
-	if promoted {
-		return ErrPromoted
-	}
-	if sess == nil || version > applied+1 {
-		// Bootstrap missing or gap detected: ask for a fresh snapshot.
-		return conn.Send(transport.MsgResyncRequest, nil)
-	}
-	if version <= applied {
-		return nil // duplicate from a resync overlap
-	}
-	op, err := marshal.DecodeOp(body)
-	if err != nil {
-		return err
-	}
-	if err := sess.ApplyReplicated(op, st.Name); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	st.applied = version
-	st.mu.Unlock()
-	return conn.SendJSON(transport.MsgStandbyAck, transport.VersionReport{Version: version})
+func (r *replica) ApplyOp(op scene.Op) error {
+	return dataservice.Replica{Session: (*Standby)(r).Session()}.ApplyOp(op)
 }

@@ -223,23 +223,47 @@ func TestStandbyRequestsResyncOnGap(t *testing.T) {
 		t.Fatalf("standby sent %s, want resync request", typ)
 	}
 
-	// Serve the snapshot; the standby installs and acks it.
+	// More ops were already in flight behind the lost one. They must
+	// not each trigger another resync: every request costs the primary
+	// a full snapshot. Then serve the snapshot; the standby installs and
+	// acks it.
 	sc := scene.New()
 	sc.Version = 100
 	var snap bytes.Buffer
 	if err := marshal.WriteScene(&snap, sc); err != nil {
 		t.Fatal(err)
 	}
-	if err := prim.Send(transport.MsgSceneSnapshot, snap.Bytes()); err != nil {
+	sent := make(chan error, 1)
+	go func() {
+		for v := uint64(101); v <= 105; v++ {
+			if err := prim.Send(transport.MsgSceneOpVer, transport.PackVersioned(v, buf.Bytes())); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- prim.Send(transport.MsgSceneSnapshot, snap.Bytes())
+	}()
+	extra := 0
+	for {
+		typ, payload, err := prim.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == transport.MsgResyncRequest {
+			extra++
+			continue
+		}
+		var vr transport.VersionReport
+		if typ != transport.MsgStandbyAck || transport.DecodeJSON(payload, &vr) != nil || vr.Version != 100 {
+			t.Fatalf("after resync got %s %+v, want ack at 100", typ, vr)
+		}
+		break
+	}
+	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := prim.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vr transport.VersionReport
-	if typ != transport.MsgStandbyAck || transport.DecodeJSON(payload, &vr) != nil || vr.Version != 100 {
-		t.Fatalf("after resync got %s %+v, want ack at 100", typ, vr)
+	if extra != 0 {
+		t.Errorf("standby sent %d resync requests, want exactly 1", extra+1)
 	}
 }
 

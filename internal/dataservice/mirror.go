@@ -2,10 +2,10 @@ package dataservice
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/follow"
 	"repro/internal/marshal"
 	"repro/internal/scene"
 	"repro/internal/transport"
@@ -20,22 +20,34 @@ import (
 // primary dies, Promote detaches the mirror and the backup session keeps
 // serving — same name, same scene, same version.
 //
-// The mirror is a VersionedSubscriber with a ready gate: ops that fan
-// out while the bootstrap snapshot (or gap replay) is still being
-// installed are buffered, then drained in version order once the
-// install lands. Without the gate an op racing the install could be
-// clobbered by the snapshot — the version tags make the race harmless.
+// The mirror is an in-process follower: the primary's fan-out delivers
+// its bootstrap first and its ops in version order, and a follow.Follower
+// applies them to the backup under the one version rule. Its resync is
+// local — it installs a fresh primary snapshot in place.
 type Mirror struct {
 	primary *Session
 	backup  *Session
 	subName string
 
 	mu       sync.Mutex
-	ready    bool
-	pending  []ReplayOp // version-tagged ops held back until ready
+	follower *follow.Follower
 	promoted bool
 	applyErr error
 }
+
+// Replica adapts a session that follows a primary to follow.Replica:
+// snapshots install in place, and ops apply through ApplyReplicated,
+// past a standby's read-only guard.
+type Replica struct{ *Session }
+
+// Install implements follow.Replica.
+func (r Replica) Install(sc *scene.Scene) error {
+	r.InstallScene(sc)
+	return nil
+}
+
+// ApplyOp implements follow.Replica.
+func (r Replica) ApplyOp(op scene.Op) error { return r.ApplyReplicated(op, "") }
 
 // MirrorSession attaches backup service's new session (with the same
 // name) as a mirror of primary. The backup session starts from a
@@ -68,43 +80,48 @@ func MirrorSessionSince(primary *Session, backupSvc *Service) (m *Mirror, resume
 		backup:  backup,
 		subName: "mirror:" + backupSvc.Name(),
 	}
+	// Replica seeding is infrastructure traffic: it charges the
+	// bootstrap-bytes series but stays out of BootstrapStats, which
+	// counts client-visible bootstraps only.
+	install := func(sc *scene.Scene) error {
+		primary.countBootstrapBytes(sc, backupSvc.Region())
+		return m.follower.Install(sc)
+	}
+	// The mirror's resync is local: a fresh primary snapshot, in place.
+	m.follower = follow.New(Replica{backup}, adopted, func() error {
+		return install(primary.Snapshot())
+	})
 	since := uint64(0)
 	if adopted {
 		since = backup.Version()
 	}
-	// Replica seeding is infrastructure traffic: it charges the
-	// bootstrap-bytes series below but stays out of BootstrapStats,
-	// which counts client-visible bootstraps only.
-	ops, snapshot, _, err := primary.subscribeSince(m.subName, m, since, false)
+	// Ops the primary commits from here on queue behind the gate until
+	// the bootstrap below is in.
+	ops, snapshot, _, err := primary.attach(m.subName, m, since, false)
 	if err != nil {
 		return nil, false, err
 	}
-	// From here the fan-out can already deliver ops; they buffer in
-	// m.pending until the install below completes.
+	m.mu.Lock()
 	if snapshot != nil {
-		primary.countBootstrapBytes(snapshot, backupSvc.Region())
-		backup.InstallScene(snapshot)
-	} else {
-		resumed = true
-		for _, rop := range ops {
-			if rop.Version != backup.Version()+1 {
-				continue // backup already past this op
-			}
-			if err := backup.ApplyReplicated(rop.Op, m.subName); err != nil {
-				primary.Unsubscribe(m.subName)
-				return nil, false, fmt.Errorf("dataservice: mirror gap replay: %w", err)
-			}
+		err = install(snapshot)
+	}
+	for _, rop := range ops {
+		if err == nil {
+			_, err = m.follower.Op(rop.Version, rop.Op)
 		}
 	}
-	if err := backup.SetCamera(primary.Camera(), ""); err != nil {
-		primary.Unsubscribe(m.subName)
-		return nil, false, err
-	}
-	m.mu.Lock()
-	m.ready = true
-	m.drainLocked()
 	m.mu.Unlock()
-	return m, resumed, nil
+	if err == nil {
+		err = backup.SetCamera(primary.Camera(), "")
+	}
+	if err != nil {
+		primary.Unsubscribe(m.subName)
+		return nil, false, fmt.Errorf("dataservice: mirror bootstrap: %w", err)
+	}
+	// The bootstrap is in. A queued op that fails to apply is recorded
+	// in m.applyErr (Err, AckedVersion) like any later delivery's.
+	_ = primary.open(m.subName)
+	return m, snapshot == nil, nil
 }
 
 // countBootstrapBytes charges a bootstrap snapshot's marshaled size to
@@ -137,16 +154,13 @@ func crossRegion(a, b string) bool {
 }
 
 // SendOp implements Subscriber for completeness; the fan-out prefers
-// SendOpVer. Unversioned ops cannot be ordered against the bootstrap,
-// so they apply only once the mirror is ready.
+// SendOpVer. An unversioned op carries no sequence to check, so it
+// applies as it comes.
 func (m *Mirror) SendOp(op scene.Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.promoted {
 		return fmt.Errorf("dataservice: mirror already promoted")
-	}
-	if !m.ready {
-		return fmt.Errorf("dataservice: unversioned op before mirror bootstrap")
 	}
 	if err := m.backup.ApplyReplicated(op, m.subName); err != nil {
 		m.applyErr = err
@@ -155,62 +169,18 @@ func (m *Mirror) SendOp(op scene.Op) error {
 	return nil
 }
 
-// SendOpVer implements VersionedSubscriber: replicate the op onto the
-// backup in version order, buffering ops that arrive before the
-// bootstrap install (or ahead of a slower sibling fan-out goroutine).
+// SendOpVer implements VersionedSubscriber: the op goes through the
+// follower core onto the backup.
 func (m *Mirror) SendOpVer(op scene.Op, version uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.promoted {
 		return fmt.Errorf("dataservice: mirror already promoted")
 	}
-	if !m.ready {
-		m.pending = append(m.pending, ReplayOp{Version: version, Op: op})
-		return nil
+	if m.applyErr == nil {
+		_, m.applyErr = m.follower.Op(version, op)
 	}
-	m.applyLocked(op, version)
 	return m.applyErr
-}
-
-// applyLocked applies one versioned op under m.mu: duplicates (at or
-// below the backup's version) drop, the next-in-sequence op applies and
-// drains any buffered successors, and ahead-of-sequence ops buffer.
-func (m *Mirror) applyLocked(op scene.Op, version uint64) {
-	cur := m.backup.Version()
-	switch {
-	case version <= cur:
-		// Already covered by the snapshot or an earlier apply.
-	case version == cur+1:
-		if err := m.backup.ApplyReplicated(op, m.subName); err != nil {
-			m.applyErr = err
-			return
-		}
-		m.drainLocked()
-	default:
-		m.pending = append(m.pending, ReplayOp{Version: version, Op: op})
-	}
-}
-
-// drainLocked applies buffered ops that have become contiguous with
-// the backup's version, dropping ones the backup is already past.
-func (m *Mirror) drainLocked() {
-	sort.Slice(m.pending, func(i, j int) bool { return m.pending[i].Version < m.pending[j].Version })
-	for len(m.pending) > 0 {
-		next := m.pending[0]
-		cur := m.backup.Version()
-		if next.Version <= cur {
-			m.pending = m.pending[1:]
-			continue
-		}
-		if next.Version != cur+1 {
-			return // gap: wait for the missing op
-		}
-		if err := m.backup.ApplyReplicated(next.Op, m.subName); err != nil {
-			m.applyErr = err
-			return
-		}
-		m.pending = m.pending[1:]
-	}
 }
 
 // SendCamera implements Subscriber.

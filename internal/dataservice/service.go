@@ -107,8 +107,12 @@ type Session struct {
 	mu          sync.Mutex
 	scene       *scene.Scene
 	camera      transport.CameraState
-	subscribers map[string]Subscriber
+	subscribers map[string]*subscriber
 	interests   map[string]*interestSet
+	// fanTail is closed once the fan-out of the latest committed op
+	// has been handed to every target; the next commit's fan-out waits
+	// on it, so each subscriber sees ops in version order.
+	fanTail     chan struct{}
 	recorder    *Recorder
 	journal     *journalSink
 	distributor *Distributor
@@ -201,7 +205,7 @@ func (s *Service) CreateSession(name string) (*Session, error) {
 		Name:        name,
 		svc:         s,
 		scene:       scene.New(),
-		subscribers: map[string]Subscriber{},
+		subscribers: map[string]*subscriber{},
 		interests:   map[string]*interestSet{},
 		standbyAcks: map[string]uint64{},
 	}
@@ -384,28 +388,41 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 	sess.history.push(version, op)
 	type target struct {
 		name string
-		sub  Subscriber
-		// Interest-filtered subscribers miss ops by design, so their
-		// stream carries no version tags (a gap there is not a fault).
-		filtered bool
+		send func() error
 	}
 	var targets []target
 	for name, sub := range sess.subscribers {
-		if name != origin && sess.wantsOp(name, op) {
-			targets = append(targets, target{name, sub, sess.interests[name] != nil})
+		if name == origin || !sess.wantsOp(name, op) {
+			continue
+		}
+		tg := target{name, func() error { return sub.SendOp(op) }}
+		// Interest-filtered subscribers miss ops by design, so their
+		// stream carries no version tags (a gap there is not a fault).
+		if vs, ok := sub.Subscriber.(VersionedSubscriber); ok && sess.interests[name] == nil {
+			tg.send = func() error { return vs.SendOpVer(op, version) }
+		}
+		if !sub.queue(tg.send) {
+			targets = append(targets, tg)
 		}
 	}
+	if len(targets) == 0 {
+		sess.mu.Unlock()
+		return nil
+	}
+	// Take the next fan-out turn while the version is still ours: the
+	// previous commit's fan-out finishes before this one starts. The
+	// error returns above consume no turn, so they never stall it.
+	prev, turn := sess.fanTail, make(chan struct{})
+	sess.fanTail = turn
 	sess.mu.Unlock()
+	defer close(turn)
+	if prev != nil {
+		<-prev
+	}
 
 	var firstErr error
 	for _, tg := range targets {
-		var err error
-		if vs, ok := tg.sub.(VersionedSubscriber); ok && !tg.filtered {
-			err = vs.SendOpVer(op, version)
-		} else {
-			err = tg.sub.SendOp(op)
-		}
-		if err != nil && firstErr == nil {
+		if err := tg.send(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("dataservice: fan-out to %s: %w", tg.name, err)
 		}
 	}
@@ -417,16 +434,17 @@ func (sess *Session) applyUpdate(op scene.Op, origin string, replicated bool) er
 func (sess *Session) SetCamera(cam transport.CameraState, origin string) error {
 	sess.mu.Lock()
 	sess.camera = cam
-	subs := make(map[string]Subscriber, len(sess.subscribers))
+	subs := make(map[string]func() error, len(sess.subscribers))
 	for name, sub := range sess.subscribers {
-		if name != origin {
-			subs[name] = sub
+		send := func() error { return sub.SendCamera(cam) }
+		if name != origin && !sub.queue(send) {
+			subs[name] = send
 		}
 	}
 	sess.mu.Unlock()
 	var firstErr error
-	for name, sub := range subs {
-		if err := sub.SendCamera(cam); err != nil && firstErr == nil {
+	for name, send := range subs {
+		if err := send(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("dataservice: camera fan-out to %s: %w", name, err)
 		}
 	}
@@ -440,19 +458,57 @@ func (sess *Session) Camera() transport.CameraState {
 	return sess.camera
 }
 
+// subscriber is one attached subscriber behind its delivery gate:
+// while its bootstrap (or a resync snapshot) is on the way, fan-out
+// deliveries queue in commit order, and open flushes them behind it.
+// Every stream therefore starts with its bootstrap, however commits
+// race it.
+type subscriber struct {
+	Subscriber
+	gated   bool
+	pending []func() error
+}
+
+// queue holds send back while the gate is shut and reports whether it
+// did. Callers hold sess.mu.
+func (sub *subscriber) queue(send func() error) bool {
+	if sub.gated {
+		sub.pending = append(sub.pending, send)
+	}
+	return sub.gated
+}
+
+// open flushes the named subscriber's queued deliveries in order, then
+// opens its gate, and returns the first delivery error. Call it once
+// the bootstrap has been delivered.
+func (sess *Session) open(name string) error {
+	var firstErr error
+	for {
+		sess.mu.Lock()
+		sub := sess.subscribers[name]
+		if sub == nil || len(sub.pending) == 0 {
+			if sub != nil {
+				sub.gated = false
+			}
+			sess.mu.Unlock()
+			return firstErr
+		}
+		batch := sub.pending
+		sub.pending = nil
+		sess.mu.Unlock()
+		for _, send := range batch {
+			if err := send(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
+}
+
 // Subscribe registers a named subscriber and returns a bootstrap
 // snapshot of the current scene. Names must be unique within a session.
 func (sess *Session) Subscribe(name string, sub Subscriber) (*scene.Scene, error) {
-	if name == "" {
-		return nil, fmt.Errorf("dataservice: subscriber name required")
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if _, dup := sess.subscribers[name]; dup {
-		return nil, fmt.Errorf("dataservice: subscriber %q already attached", name)
-	}
-	sess.subscribers[name] = sub
-	return sess.scene.Clone(), nil
+	_, snapshot, _, err := sess.SubscribeSince(name, sub, 0)
+	return snapshot, err
 }
 
 // ReplayOp is one op returned by SubscribeSince for gap-only resync.
@@ -469,14 +525,20 @@ type ReplayOp struct {
 // The returned version is the authoritative version the subscriber will
 // be at after applying what it was given.
 func (sess *Session) SubscribeSince(name string, sub Subscriber, since uint64) (ops []ReplayOp, snapshot *scene.Scene, version uint64, err error) {
-	return sess.subscribeSince(name, sub, since, true)
+	// In process, the bootstrap is delivered by returning it.
+	ops, snapshot, version, err = sess.attach(name, sub, since, true)
+	if err == nil {
+		err = sess.open(name)
+	}
+	return ops, snapshot, version, err
 }
 
-// subscribeSince implements SubscribeSince; count selects whether the
-// bootstrap lands in BootstrapStats. Client-facing paths count;
-// replica seeding (the Mirror) does not, so the stats stay a pure
-// client-visible observable the chaos tests can assert exactly.
-func (sess *Session) subscribeSince(name string, sub Subscriber, since uint64, count bool) (ops []ReplayOp, snapshot *scene.Scene, version uint64, err error) {
+// attach implements SubscribeSince, leaving the subscriber gated until
+// the caller has delivered the bootstrap and calls open. count selects
+// whether the bootstrap lands in BootstrapStats. Client-facing paths
+// count; replica seeding (the Mirror) does not, so the stats stay a
+// pure client-visible observable the chaos tests can assert exactly.
+func (sess *Session) attach(name string, sub Subscriber, since uint64, count bool) (ops []ReplayOp, snapshot *scene.Scene, version uint64, err error) {
 	if name == "" {
 		return nil, nil, 0, fmt.Errorf("dataservice: subscriber name required")
 	}
@@ -485,7 +547,7 @@ func (sess *Session) subscribeSince(name string, sub Subscriber, since uint64, c
 	if _, dup := sess.subscribers[name]; dup {
 		return nil, nil, 0, fmt.Errorf("dataservice: subscriber %q already attached", name)
 	}
-	sess.subscribers[name] = sub
+	sess.subscribers[name] = &subscriber{Subscriber: sub, gated: true}
 	version = sess.scene.Version
 	// since == 0 means "no replica": always a full bootstrap.
 	if since > 0 && since <= version {
@@ -505,19 +567,24 @@ func (sess *Session) subscribeSince(name string, sub Subscriber, since uint64, c
 	return nil, sess.scene.Clone(), version, nil
 }
 
+// resync gates the named subscriber again and returns a fresh snapshot
+// for it: ops committed from here on queue behind it until open.
+func (sess *Session) resync(name string) *scene.Scene {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sub := sess.subscribers[name]; sub != nil {
+		sub.gated = true
+	}
+	sess.snapshotsServed++
+	return sess.scene.Clone()
+}
+
 // BootstrapStats reports how many subscriber bootstraps were served as
 // full snapshots vs. gap-only resumes (including resync snapshots).
 func (sess *Session) BootstrapStats() (snapshots, resumes uint64) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.snapshotsServed, sess.resumesServed
-}
-
-// noteSnapshot counts a resync snapshot served outside SubscribeSince.
-func (sess *Session) noteSnapshot() {
-	sess.mu.Lock()
-	sess.snapshotsServed++
-	sess.mu.Unlock()
 }
 
 // SetReadOnly marks or unmarks the session as a standby: while set,
@@ -607,6 +674,17 @@ func (c *connSubscriber) SendCamera(cam transport.CameraState) error {
 	return c.conn.SendJSON(transport.MsgCameraUpdate, cam)
 }
 
+// shipSnapshot sends a bootstrap or resync snapshot to a socket
+// subscriber in region, charging its bytes to the bootstrap series.
+func (sess *Session) shipSnapshot(conn *transport.Conn, sc *scene.Scene, region string) error {
+	snap, err := marshal.AppendScene(nil, sc)
+	if err != nil {
+		return err
+	}
+	sess.noteBootstrapBytes(int64(len(snap)), region)
+	return conn.Send(transport.MsgSceneSnapshot, snap)
+}
+
 // ServeConn runs the data-service side of a direct-socket subscription:
 // hello, bootstrap snapshot, then a receive loop applying the peer's
 // updates while the fan-out path pushes everyone else's. Returns when
@@ -634,7 +712,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 	}
 
 	sub := &connSubscriber{conn: conn}
-	ops, snapshot, version, err := sess.SubscribeSince(hello.Name, sub, hello.SinceVersion)
+	ops, snapshot, version, err := sess.attach(hello.Name, sub, hello.SinceVersion, true)
 	if err != nil {
 		conn.SendJSON(transport.MsgError, transport.ErrorInfo{Message: err.Error()})
 		return err
@@ -642,12 +720,7 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 	defer sess.Unsubscribe(hello.Name)
 
 	if snapshot != nil {
-		snap, err := marshal.AppendScene(nil, snapshot)
-		if err != nil {
-			return err
-		}
-		sess.noteBootstrapBytes(int64(len(snap)), hello.Region)
-		if err := conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
+		if err := sess.shipSnapshot(conn, snapshot, hello.Region); err != nil {
 			return err
 		}
 	} else {
@@ -663,6 +736,9 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 		}
 	}
 	if err := conn.SendJSON(transport.MsgCameraUpdate, sess.Camera()); err != nil {
+		return err
+	}
+	if err := sess.open(hello.Name); err != nil {
 		return err
 	}
 
@@ -720,14 +796,12 @@ func (s *Service) ServeConn(rw io.ReadWriter) error {
 				return err
 			}
 		case transport.MsgResyncRequest:
-			// The replica detected a gap: ship a fresh bootstrap snapshot.
-			sess.noteSnapshot()
-			snap, err := marshal.AppendScene(nil, sess.Snapshot())
-			if err != nil {
+			// The replica detected a gap: ship a fresh snapshot ahead of
+			// every op committed after it.
+			if err := sess.shipSnapshot(conn, sess.resync(hello.Name), hello.Region); err != nil {
 				return err
 			}
-			sess.noteBootstrapBytes(int64(len(snap)), hello.Region)
-			if err := conn.Send(transport.MsgSceneSnapshot, snap); err != nil {
+			if err := sess.open(hello.Name); err != nil {
 				return err
 			}
 		case transport.MsgStandbyAck:

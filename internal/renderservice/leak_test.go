@@ -13,19 +13,18 @@ import (
 	"repro/internal/vclock"
 )
 
-// These tests are the shutdown-path audit for the two goroutines a
+// These tests are the shutdown-path audit for the goroutine a
 // subscription spawns alongside its read loop: heartbeat (version
-// probes + load reports) and StartLoadReporting. Both must exit
-// promptly in each of their two termination modes — the stop channel
-// closing (the subscribe read loop returned and ran `defer
-// close(stop)`) and the connection dying abruptly under them (the next
-// Send fails). The dangerous shape is a goroutine parked in a blocking
-// Write on a peer that stopped reading: stop can never interrupt it, so
-// the contract is that whoever owns the stream must close it —
-// SubscribeToDataResilient does (rw.Close() after every subscribe
-// attempt), and plain SubscribeToData callers own rw themselves. An
-// abrupt close unblocks the Write with an error and the goroutine
-// exits; these tests pin that behaviour down.
+// probes + load reports). It must exit promptly in each of its two
+// termination modes — the stop channel closing (the subscribe read
+// loop returned and ran `defer close(stop)`) and the connection dying
+// abruptly under it (the next Send fails). The dangerous shape is a
+// goroutine parked in a blocking Write on a peer that stopped reading:
+// stop can never interrupt it, so the contract is that whoever owns the
+// stream must close it — SubscribeToDataResilient does (rw.Close() after
+// every subscribe attempt), and plain SubscribeToData callers own rw
+// themselves. An abrupt close unblocks the Write with an error and the
+// goroutine exits; these tests pin that behaviour down.
 
 // waitWaiters blocks until at least n timers are armed on the virtual
 // clock, so an Advance is guaranteed to fire them (registering a timer
@@ -110,62 +109,6 @@ func TestHeartbeatExitsOnAbruptClose(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("heartbeat goroutine leaked after abrupt connection close")
-	}
-}
-
-// TestLoadReportingExitsOnStop proves StartLoadReporting returns nil
-// when stopped, even with its interval timer pending.
-func TestLoadReportingExitsOnStop(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go drainUntilClosed(server)
-
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- svc.StartLoadReporting(transport.NewConn(client), 50*time.Millisecond, stop)
-	}()
-	waitWaiters(t, clk, 1)
-	clk.Advance(60 * time.Millisecond) // one report goes out
-	close(stop)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("stopped load reporting returned %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("StartLoadReporting goroutine leaked after stop closed")
-	}
-}
-
-// TestLoadReportingExitsOnAbruptClose proves a dead connection
-// surfaces as an error from StartLoadReporting instead of a wedged
-// goroutine.
-func TestLoadReportingExitsOnAbruptClose(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(1000, 0))
-	svc := New(Config{Name: "rs", Device: device.CentrinoLaptop, Clock: clk})
-	client, server := net.Pipe()
-	defer client.Close()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	done := make(chan error, 1)
-	go func() {
-		done <- svc.StartLoadReporting(transport.NewConn(client), 50*time.Millisecond, stop)
-	}()
-	waitWaiters(t, clk, 1)
-	server.Close()
-	clk.Advance(60 * time.Millisecond)
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("load reporting on a dead connection returned nil, want error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("StartLoadReporting goroutine leaked after abrupt connection close")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/collab"
 	"repro/internal/device"
+	"repro/internal/follow"
 	"repro/internal/imgcodec"
 	"repro/internal/marshal"
 	"repro/internal/mathx"
@@ -224,13 +225,16 @@ func (sess *Session) ApplyOp(op scene.Op) error {
 	return sess.scene.ApplyOp(op)
 }
 
-// ResetScene replaces the replica with a fresh snapshot — the resync path
-// after the versioned op stream detects dropped updates, and the
-// re-bootstrap path after a subscription reconnects.
-func (sess *Session) ResetScene(snapshot *scene.Scene) {
+// Install replaces the replica with a bootstrap or resync snapshot,
+// taking ownership of it — the resync path after the versioned op
+// stream detects dropped updates, and the re-bootstrap path after a
+// subscription reconnects. With ApplyOp and Version it makes the
+// session a follow.Replica.
+func (sess *Session) Install(snapshot *scene.Scene) error {
 	sess.mu.Lock()
-	sess.scene = snapshot.Clone()
+	sess.scene = snapshot
 	sess.mu.Unlock()
+	return nil
 }
 
 // retain adds a reference so the replica survives a subscription drop
@@ -775,11 +779,9 @@ func (s *Service) heartbeat(conn *transport.Conn, opts SubscribeOpts, stop <-cha
 }
 
 // subscribe performs one subscription: hello, bootstrap, then the op
-// stream. It reports whether the bootstrap completed (so reconnection
-// backoff can reset) alongside the terminal error. The op stream is
-// version-checked: a gap (dropped MsgSceneOpVer) or a version probe
-// showing the replica behind triggers MsgResyncRequest, and the fresh
-// snapshot replaces the replica.
+// stream through the follower core (internal/follow), which detects gaps
+// and resyncs. It reports whether the bootstrap completed (so
+// reconnection backoff can reset) alongside the terminal error.
 func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionName string, opts SubscribeOpts, onReady func(*Session)) (bootstrapped bool, err error) {
 	// A retained replica from a previous connection lets us ask to
 	// resume at its version: if the data service's op history covers the
@@ -792,14 +794,11 @@ func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionNa
 	if err != nil {
 		return false, err
 	}
-	canDeadline := opts.IdleTimeout > 0
-	if canDeadline {
+	if opts.IdleTimeout > 0 {
 		// The bootstrap is covered by the idle watchdog too: a data
 		// service that stalls before sending the snapshot must not hang
 		// the subscription forever.
-		if conn.SetReadDeadline(s.cfg.Clock.Now().Add(opts.IdleTimeout)) != nil {
-			canDeadline = false
-		}
+		conn.SetReadDeadline(s.cfg.Clock.Now().Add(opts.IdleTimeout))
 	}
 	t, payload, err := conn.Receive()
 	if err != nil {
@@ -822,14 +821,10 @@ func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionNa
 			return false, err
 		}
 		// Re-bootstrap an already-open replica (reconnection path).
-		sess.ResetScene(snapshot)
+		sess.Install(snapshot)
 	case transport.MsgResumeOK:
 		// The service accepted our resume point: the retained replica is
 		// the bootstrap, and only the gap follows as MsgSceneOpVer.
-		var ri transport.ResumeInfo
-		if err := transport.DecodeJSON(payload, &ri); err != nil {
-			return false, err
-		}
 		sess, err = s.OpenSession(sessionName, nil, raster.DefaultCamera())
 		if err != nil {
 			return false, fmt.Errorf("renderservice: resume without a replica: %w", err)
@@ -848,103 +843,38 @@ func (s *Service) subscribe(ctx context.Context, conn *transport.Conn, sessionNa
 		go s.heartbeat(conn, opts, stop)
 	}
 
-	resyncing := false
-	for {
-		if err := ctx.Err(); err != nil {
-			return true, err
-		}
-		if canDeadline {
-			if conn.SetReadDeadline(s.cfg.Clock.Now().Add(opts.IdleTimeout)) != nil {
-				canDeadline = false // stream has no deadline support
+	w := follow.Wire{
+		Conn: conn, Replica: sess, Bootstrapped: true,
+		IdleTimeout: opts.IdleTimeout, Clock: s.cfg.Clock,
+		Handle: func(t transport.MsgType, payload []byte) (bool, error) {
+			switch t {
+			case transport.MsgCameraUpdate:
+				var cs transport.CameraState
+				if err := transport.DecodeJSON(payload, &cs); err != nil {
+					return true, err
+				}
+				sess.SetCamera(CameraFromState(cs))
+			case transport.MsgCapacityQuery:
+				return true, conn.SendJSON(transport.MsgCapacityReport, s.Capacity())
+			case transport.MsgTelemetryQuery:
+				return true, conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot())
+			default:
+				return false, nil
 			}
-		}
-		t, payload, err := conn.Receive()
-		if err != nil {
+			return true, nil
+		},
+		Lost: func(err error) error {
 			if err == io.EOF {
 				// Only an explicit Bye is a clean shutdown. A bare EOF
 				// means the peer died or the link dropped (over TCP a
 				// killed process still produces EOF), so the resilient
 				// loop must treat it as a failure and reconnect.
-				return true, ErrConnectionLost
+				return ErrConnectionLost
 			}
-			return true, err
-		}
-		switch t {
-		case transport.MsgBye:
-			return true, nil
-		case transport.MsgSceneOp:
-			op, err := marshal.DecodeOp(payload)
-			if err != nil {
-				return true, err
-			}
-			if err := sess.ApplyOp(op); err != nil {
-				return true, err
-			}
-		case transport.MsgSceneOpVer:
-			ver, body, err := transport.UnpackVersioned(payload)
-			if err != nil {
-				return true, err
-			}
-			if resyncing {
-				continue // a fresh snapshot is on its way
-			}
-			local := sess.Version()
-			if ver <= local {
-				continue // stale duplicate
-			}
-			if ver > local+1 {
-				// Gap: updates were lost on the wire — request resync.
-				if err := conn.Send(transport.MsgResyncRequest, nil); err != nil {
-					return true, err
-				}
-				resyncing = true
-				continue
-			}
-			op, err := marshal.DecodeOp(body)
-			if err != nil {
-				return true, err
-			}
-			if err := sess.ApplyOp(op); err != nil {
-				return true, err
-			}
-		case transport.MsgSceneSnapshot:
-			snap, err := marshal.DecodeScene(payload)
-			if err != nil {
-				return true, err
-			}
-			sess.ResetScene(snap)
-			resyncing = false
-		case transport.MsgVersionReport:
-			var vr transport.VersionReport
-			if err := transport.DecodeJSON(payload, &vr); err != nil {
-				return true, err
-			}
-			// Re-request even while resyncing: the snapshot itself may have
-			// been lost, and a duplicate snapshot is harmless.
-			if vr.Version > sess.Version() {
-				if err := conn.Send(transport.MsgResyncRequest, nil); err != nil {
-					return true, err
-				}
-				resyncing = true
-			}
-		case transport.MsgCameraUpdate:
-			var cs transport.CameraState
-			if err := transport.DecodeJSON(payload, &cs); err != nil {
-				return true, err
-			}
-			sess.SetCamera(CameraFromState(cs))
-		case transport.MsgCapacityQuery:
-			if err := conn.SendJSON(transport.MsgCapacityReport, s.Capacity()); err != nil {
-				return true, err
-			}
-		case transport.MsgTelemetryQuery:
-			if err := conn.SendJSON(transport.MsgTelemetryReport, s.cfg.Metrics.Snapshot()); err != nil {
-				return true, err
-			}
-		default:
-			// Ignore messages this role does not handle.
-		}
+			return err
+		},
 	}
+	return true, w.Run(ctx)
 }
 
 // ErrConnectionLost reports a subscription stream that ended without an
@@ -1015,27 +945,6 @@ func (s *Service) SubscribeToDataResilient(ctx context.Context, dial Dialer, ses
 		}
 		if err := policy.Sleep(ctx, s.cfg.Clock, attempt); err != nil {
 			return err
-		}
-	}
-}
-
-// StartLoadReporting periodically sends this service's load report over
-// the data-service subscription socket (the §3.2.7 signal driving the
-// migration engine) until stop is closed or a send fails. Run it in a
-// goroutine alongside SubscribeToData, passing the same underlying
-// stream (transport.Conn serializes concurrent sends).
-func (s *Service) StartLoadReporting(conn *transport.Conn, interval time.Duration, stop <-chan struct{}) error {
-	if interval <= 0 {
-		return fmt.Errorf("renderservice: non-positive report interval")
-	}
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-s.cfg.Clock.After(interval):
-			if err := conn.SendJSON(transport.MsgLoadReport, s.LoadReport()); err != nil {
-				return err
-			}
 		}
 	}
 }
